@@ -32,12 +32,11 @@
 //
 // And the KERNEL HOT PATH: the non-pairwise solve phase for the coverage-
 // family kernels (facility location, saturated coverage) at 1M nodes,
-// measured three ways — the pre-incremental-state exact-oracle path
+// measured two ways — the pre-incremental-state exact-oracle path
 // (baselines::reference::lazy_greedy: O(deg^2) per gain evaluation, the
-// 10-80x gaps of BENCH_objective_matrix.json), the virtual SubproblemScorer
-// fallback, and the flat incremental-state + batched-gains path. Selections
-// must be identical across all three; the headline solve_speedup is
-// oracle/incremental. --min-speedup=X turns the harness into a self-check
+// 10-80x gaps of BENCH_objective_matrix.json) and the flat incremental-state
+// + batched-gains path. Selections must be identical between the two; the
+// headline solve_speedup is oracle/incremental. --min-speedup=X turns the harness into a self-check
 // (exit 3 when the minimum solve speedup across kernels falls below X, exit
 // 2 when selections diverge) — CI runs it on a small fixture against the
 // committed baseline.
@@ -421,28 +420,19 @@ struct HotPathReport {
   bool equivalent = true;
 };
 
-/// One solve regime measured three ways: the pre-incremental-state
+/// One solve regime measured two ways: the pre-incremental-state
 /// per-candidate exact-oracle machinery (what every non-pairwise baseline
-/// shipped with, O(deg^2) per evaluation), the virtual SubproblemScorer
-/// driver (the equivalence oracle), and the flat incremental state.
+/// shipped with, O(deg^2) per evaluation) and the flat incremental state.
 struct KernelRegime {
   double oracle_ms = 0.0;
-  double scorer_ms = 0.0;
   double incremental_ms = 0.0;
-  /// Incremental selections == scorer selections. Guaranteed (the state
-  /// mirrors the scorer's arithmetic operation-for-operation) — this is what
-  /// the exit-2 gate and CI check.
+  /// Incremental selections == exact-oracle selections — what the exit-2
+  /// gate and CI check. The oracle sums gains in a different floating-point
+  /// order than the state's lane split, so this is an end-to-end agreement
+  /// check on the benchmark instance, not an arithmetic identity.
   bool identical = true;
-  /// Incremental selections == exact-oracle selections. Holds for facility
-  /// location by construction (max is order-independent and exact) and
-  /// empirically for saturated coverage, whose oracle sums masses in a
-  /// different floating-point order; informational, not gated.
-  bool oracle_identical = true;
   double speedup_vs_oracle() const {
     return incremental_ms > 0.0 ? oracle_ms / incremental_ms : 0.0;
-  }
-  double speedup_vs_scorer() const {
-    return incremental_ms > 0.0 ? scorer_ms / incremental_ms : 0.0;
   }
 };
 
@@ -451,8 +441,8 @@ struct KernelHotPathResult {
   std::string objective;
   double materialize_ms = 0.0;  // full-ground topology materialization
   std::size_t state_bytes = 0;
-  /// Priority-queue (lazy) solve: refresh-dominated; the scorer was already
-  /// O(deg) incremental here, so the win is vs the exact-oracle path.
+  /// Priority-queue (lazy) solve: refresh-dominated, so the heap rather than
+  /// the gain arithmetic bounds it.
   KernelRegime lazy;
   /// Sampled solve (the stochastic partition solver): one re-evaluation per
   /// candidate per round — the regime behind the 10-80x objective-matrix
@@ -582,7 +572,7 @@ int run_hot_path(HotPathConfig config, HotPathReport& report) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel hot path: the non-pairwise solve phase, oracle vs scorer vs state.
+// Kernel hot path: the non-pairwise solve phase, oracle vs state.
 // ---------------------------------------------------------------------------
 
 /// Guards against nonsense flag values; main applies it before running AND
@@ -650,24 +640,7 @@ std::vector<KernelHotPathResult> run_kernel_hot_path(
           stochastic_greedy(*kernel, k, kEpsilon, config.seed);
       sampled.oracle_ms = timer.elapsed_seconds() * 1e3;
 
-      // PR 3 fallback: virtual per-candidate SubproblemScorer (already
-      // O(deg) incremental — the equivalence oracle of the parity suite).
-      core::SubproblemArena scorer_arena;
-      core::Subproblem& scorer_sub = core::materialize_subproblem_topology(
-          ground_set, members, scorer_arena);
-      const auto scorer = kernel->make_scorer();
-      timer.reset();
-      scorer->reset(scorer_sub, nullptr);
-      const core::GreedyResult lazy_scorer =
-          core::lazy_greedy_on_subproblem(scorer_sub, k, *scorer, scorer_arena);
-      lazy.scorer_ms = timer.elapsed_seconds() * 1e3;
-      timer.reset();
-      scorer->reset(scorer_sub, nullptr);
-      const core::GreedyResult sampled_scorer = core::stochastic_greedy_on_subproblem(
-          scorer_sub, k, *scorer, kEpsilon, config.seed);
-      sampled.scorer_ms = timer.elapsed_seconds() * 1e3;
-
-      // This PR: flat incremental state, batched gains.
+      // Flat incremental state, batched gains.
       core::SubproblemArena state_arena;
       timer.reset();
       core::Subproblem& state_sub = core::materialize_subproblem_topology(
@@ -686,11 +659,8 @@ std::vector<KernelHotPathResult> run_kernel_hot_path(
                                                 config.seed, state_arena);
       sampled.incremental_ms = timer.elapsed_seconds() * 1e3;
 
-      lazy.identical = lazy_incremental.selected == lazy_scorer.selected;
-      lazy.oracle_identical = lazy_incremental.selected == lazy_oracle.selected;
-      sampled.identical = sampled_incremental.selected == sampled_scorer.selected;
-      sampled.oracle_identical =
-          sampled_incremental.selected == sampled_oracle.selected;
+      lazy.identical = lazy_incremental.selected == lazy_oracle.selected;
+      sampled.identical = sampled_incremental.selected == sampled_oracle.selected;
 
       if (iter == 0) {
         result.lazy = lazy;
@@ -700,26 +670,22 @@ std::vector<KernelHotPathResult> run_kernel_hot_path(
       } else {
         const auto keep_best = [](KernelRegime& best, const KernelRegime& run) {
           best.oracle_ms = std::min(best.oracle_ms, run.oracle_ms);
-          best.scorer_ms = std::min(best.scorer_ms, run.scorer_ms);
           best.incremental_ms = std::min(best.incremental_ms, run.incremental_ms);
           best.identical = best.identical && run.identical;
-          best.oracle_identical = best.oracle_identical && run.oracle_identical;
         };
         keep_best(result.lazy, lazy);
         keep_best(result.sampled, sampled);
         result.materialize_ms = std::min(result.materialize_ms, materialize_ms);
       }
-      std::printf("%-20s iter %zu: lazy %.0f/%.0f/%.0f ms | sampled "
-                  "%.0f/%.0f/%.0f ms (oracle/scorer/incremental)\n",
-                  result.objective.c_str(), iter, lazy.oracle_ms, lazy.scorer_ms,
-                  lazy.incremental_ms, sampled.oracle_ms, sampled.scorer_ms,
-                  sampled.incremental_ms);
+      std::printf("%-20s iter %zu: lazy %.0f/%.0f ms | sampled %.0f/%.0f ms "
+                  "(oracle/incremental)\n",
+                  result.objective.c_str(), iter, lazy.oracle_ms,
+                  lazy.incremental_ms, sampled.oracle_ms, sampled.incremental_ms);
     }
-    std::printf("%-20s lazy: %.2fx vs oracle (%.2fx vs scorer) | sampled: "
-                "%.2fx vs oracle (%.2fx vs scorer) | selections %s\n",
+    std::printf("%-20s lazy: %.2fx vs oracle | sampled: %.2fx vs oracle | "
+                "selections %s\n",
                 result.objective.c_str(), result.lazy.speedup_vs_oracle(),
-                result.lazy.speedup_vs_scorer(), result.sampled.speedup_vs_oracle(),
-                result.sampled.speedup_vs_scorer(),
+                result.sampled.speedup_vs_oracle(),
                 result.selections_identical() ? "identical" : "DIVERGED");
     results.push_back(std::move(result));
   }
@@ -1087,8 +1053,8 @@ int write_micro_core_json(const std::string& path, const HotPathReport& hot,
     json.key("kernel_hotpath").begin_object();
     json.key("workload")
         .value("non-pairwise solve phase, full ground set: per-candidate "
-               "exact-oracle machinery vs virtual-scorer fallback vs flat "
-               "incremental state + batched gains, in the lazy "
+               "exact-oracle machinery vs flat incremental state + batched "
+               "gains, in the lazy "
                "(priority-queue) and sampled (stochastic, one re-evaluation "
                "per candidate per round) regimes");
     json.key("nodes").value(kernel_config.nodes);
@@ -1105,12 +1071,9 @@ int write_micro_core_json(const std::string& path, const HotPathReport& hot,
       const auto regime = [&json](const char* name, const KernelRegime& r) {
         json.key(name).begin_object();
         json.key("oracle_solve_ms").value(r.oracle_ms);
-        json.key("scorer_solve_ms").value(r.scorer_ms);
         json.key("incremental_solve_ms").value(r.incremental_ms);
         json.key("speedup_vs_oracle").value(r.speedup_vs_oracle());
-        json.key("speedup_vs_scorer").value(r.speedup_vs_scorer());
         json.key("selections_identical").value(r.identical);
-        json.key("oracle_selections_identical").value(r.oracle_identical);
         json.end_object();
       };
       regime("lazy", result.lazy);

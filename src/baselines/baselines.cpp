@@ -89,7 +89,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
   // Per-partition greedy, selecting k each (capped by partition size), on
   // per-worker reusable arenas. solve_partition dispatches: pairwise kernels
   // take the closed-form arena path, others the batched incremental-state
-  // driver (or the scorer fallback).
+  // driver.
   core::SubproblemArenaPool arena_pool;
   std::vector<std::vector<NodeId>> partials(m);
   std::atomic<std::size_t> peak_bytes{0};
@@ -100,7 +100,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
         ground_set, partitions[p], k, kernel, nullptr, *arena,
         core::PartitionSolver::kPriorityQueue,
         /*stochastic_epsilon=*/0.1, config.seed, nullptr, nullptr,
-        core::GainEngine::kAuto, config.constraints);
+        config.constraints);
     atomic_fetch_max(peak_bytes, local.materialized_bytes);
     atomic_fetch_max(peak_state_bytes, local.kernel_state_bytes);
     partials[p] = std::move(local.selected);
@@ -121,8 +121,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
   GreedyResult merged = core::solve_partition(
       ground_set, merge_input, k, kernel, nullptr, *merge_arena,
       core::PartitionSolver::kPriorityQueue, /*stochastic_epsilon=*/0.1,
-      config.seed, &result.merge_bytes, nullptr, core::GainEngine::kAuto,
-      config.constraints);
+      config.seed, &result.merge_bytes, nullptr, config.constraints);
   atomic_fetch_max(peak_bytes, merged.materialized_bytes);
   atomic_fetch_max(peak_state_bytes, merged.kernel_state_bytes);
   result.peak_partition_bytes = peak_bytes.load();

@@ -50,7 +50,9 @@ TEST(DeadlineDegradation, LazyGreedyTightDeadlineResultIsAPrefixOfTheFullRun) {
   ASSERT_FALSE(full.degraded);
   const auto hurried = lazy_greedy(kernel, 150, Deadline::after_ms(1));
   EXPECT_TRUE(is_prefix(hurried.selected, full.selected));
-  if (!hurried.degraded) EXPECT_EQ(hurried.selected, full.selected);
+  if (!hurried.degraded) {
+    EXPECT_EQ(hurried.selected, full.selected);
+  }
 }
 
 TEST(DeadlineDegradation, StochasticGreedyExpiredDeadline) {

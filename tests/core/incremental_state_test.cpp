@@ -1,13 +1,15 @@
-// Parity suite for the incremental kernel state and the batched solve loop:
-// the flat arena-backed state (make_incremental_state) must reproduce the
-// virtual SubproblemScorer — the equivalence oracle — selection-for-selection
-// and gain-for-gain, and stay within tolerance of the kernel's brute-force
-// exact oracle, across randomized instances, adversarial ties, duplicate
-// weights, conditioning on pre-selected state, and empty partitions.
+// Conformance suite for the incremental kernel state and the drivers that
+// run it. Nothing here re-derives the state's arithmetic: gains are held
+// against each kernel's exact marginal_gain oracle over the subproblem's
+// induced ground set (partitions, conditioning on pre-selected state, the
+// full ground set), the batched lazy driver against an exhaustive greedy
+// over the same state (bit-exact, including adversarial ties and duplicate
+// weights), and solve_partition against direct driver calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,7 +28,10 @@ namespace {
 using subsel::testing::Instance;
 using subsel::testing::random_instance;
 
-/// All three built-in kernels over one ground set.
+/// All three built-in kernels over one ground set. The saturation stays
+/// below the default self-similarity (1.0), so a selected point is saturated
+/// and absorbs no further gain — the property the conditioned oracle
+/// comparison relies on.
 struct KernelSet {
   PairwiseKernel pairwise;
   FacilityLocationKernel facility_location;
@@ -52,158 +57,208 @@ std::vector<NodeId> every_third(std::size_t n) {
   return members;
 }
 
-/// Gains from the state (single and batched) must equal the scorer's exactly
-/// after every selection of a shared random play-out.
-void expect_state_mirrors_scorer(const ObjectiveKernel& kernel,
+std::vector<NodeId> all_ids(std::size_t n) {
+  std::vector<NodeId> members(n);
+  for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
+  return members;
+}
+
+/// The ground set induced by the sorted id list `ids`: oracle id i stands for
+/// global id ids[i], and only edges with both endpoints in `ids` survive.
+Instance induced_instance(const Instance& instance, std::span<const NodeId> ids) {
+  const auto oracle_id = [&](NodeId global) -> NodeId {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), global);
+    return it != ids.end() && *it == global ? static_cast<NodeId>(it - ids.begin())
+                                            : NodeId{-1};
+  };
+  std::vector<graph::NeighborList> lists(ids.size());
+  Instance induced;
+  induced.utilities.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    induced.utilities[i] = instance.utilities[static_cast<std::size_t>(ids[i])];
+    for (const graph::Edge& e : instance.graph.neighbors(ids[i])) {
+      const NodeId local = oracle_id(e.neighbor);
+      if (local >= 0) lists[i].edges.push_back(graph::Edge{local, e.weight});
+    }
+  }
+  induced.graph = graph::SimilarityGraph::from_lists(lists);
+  return induced;
+}
+
+/// Gains of each kernel's state over the subproblem induced by `members`
+/// (conditioned on `conditioning` when given) must match the kernel's exact
+/// oracle over the ground set induced by members ∪ S′, with S′ pre-selected,
+/// after every selection of a random play-out. Single and batched gains must
+/// agree bit-for-bit, and reset's initial priorities must equal the fresh
+/// gains.
+void expect_state_matches_oracle(const Instance& instance,
                                  std::span<const NodeId> members,
                                  const SelectionState* conditioning,
                                  std::uint64_t seed) {
-  SubproblemArena scorer_arena;
-  Subproblem& scorer_sub = materialize_subproblem_topology(
-      kernel.ground_set(), members, scorer_arena);
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(scorer_sub, conditioning);
-  const std::vector<double> scorer_priorities = scorer_sub.priorities;
-
-  SubproblemArena state_arena;
-  Subproblem& state_sub = materialize_subproblem_topology(
-      kernel.ground_set(), members, state_arena);
-  const std::unique_ptr<KernelIncrementalState> state =
-      kernel.make_incremental_state(state_arena);
-  ASSERT_NE(state, nullptr) << kernel.name();
-  state->reset(state_sub, conditioning);
-
-  const std::size_t n = state_sub.size();
-  ASSERT_EQ(state_sub.priorities.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(state_sub.priorities[i], scorer_priorities[i])
-        << kernel.name() << " initial gain of local " << i;
-  }
-  EXPECT_GT(state->state_bytes(), 0u);
-
-  Rng rng(seed);
-  std::vector<std::uint32_t> all(n);
-  for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
-  std::vector<std::uint32_t> picks(all);
-  rng.shuffle(std::span<std::uint32_t>(picks));
-  picks.resize(std::min<std::size_t>(n, 12));
-
-  std::vector<double> batched(n);
-  for (const std::uint32_t pick : picks) {
-    state->gains_batch(all, batched);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const double expected = scorer->gain(v);
-      EXPECT_EQ(state->gain(v), expected)
-          << kernel.name() << " gain of local " << v;
-      EXPECT_EQ(batched[v], expected)
-          << kernel.name() << " batched gain of local " << v;
-    }
-    scorer->select(pick);
-    state->select(pick);
-  }
-}
-
-TEST(IncrementalStateParity, MirrorsScorerOnRandomSubproblems) {
-  for (std::uint64_t seed : {41001ULL, 41002ULL, 41003ULL}) {
-    const Instance instance = random_instance(90, 5, seed);
-    const auto ground_set = instance.ground_set();
-    const KernelSet kernels(ground_set);
-    const std::vector<NodeId> members = every_third(90);
-    for (const ObjectiveKernel* kernel : kernels.all()) {
-      expect_state_mirrors_scorer(*kernel, members, nullptr, seed ^ 0xfeed);
-    }
-  }
-}
-
-TEST(IncrementalStateParity, MirrorsScorerConditionedOnSelectionState) {
-  const Instance instance = random_instance(80, 6, 41010);
   const auto ground_set = instance.ground_set();
   const KernelSet kernels(ground_set);
 
+  std::vector<NodeId> ids(members.begin(), members.end());
+  if (conditioning != nullptr) {
+    const std::vector<NodeId> selected = conditioning->selected_ids();
+    ids.insert(ids.end(), selected.begin(), selected.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  const Instance induced = induced_instance(instance, ids);
+  const auto oracle_ground_set = induced.ground_set();
+  const KernelSet oracles(oracle_ground_set);
+
+  const std::vector<const ObjectiveKernel*> states = kernels.all();
+  const std::vector<const ObjectiveKernel*> exact = oracles.all();
+  for (std::size_t which = 0; which < states.size(); ++which) {
+    const ObjectiveKernel& kernel = *states[which];
+    const ObjectiveKernel& oracle = *exact[which];
+
+    SubproblemArena arena;
+    Subproblem& sub = materialize_subproblem_topology(ground_set, members, arena);
+    const std::unique_ptr<KernelIncrementalState> state =
+        kernel.make_incremental_state(arena);
+    ASSERT_NE(state, nullptr) << kernel.name();
+    state->reset(sub, conditioning);
+    EXPECT_GT(state->state_bytes(), 0u) << kernel.name();
+
+    const std::size_t n = sub.size();
+    std::vector<NodeId> oracle_of(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      oracle_of[i] = static_cast<NodeId>(
+          std::lower_bound(ids.begin(), ids.end(), sub.global_ids[i]) -
+          ids.begin());
+    }
+    std::vector<std::uint8_t> membership(ids.size(), 0);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (conditioning != nullptr && conditioning->is_selected(ids[i])) {
+        membership[i] = 1;
+      }
+    }
+    ASSERT_EQ(sub.priorities.size(), n);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      EXPECT_EQ(sub.priorities[v], state->gain(v))
+          << kernel.name() << " initial priority of local " << v;
+    }
+
+    Rng rng(seed);
+    std::vector<std::uint32_t> all(n);
+    for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+    std::vector<std::uint32_t> picks(all);
+    rng.shuffle(std::span<std::uint32_t>(picks));
+    picks.resize(std::min<std::size_t>(n, 12));
+
+    std::vector<double> batched(n);
+    for (const std::uint32_t pick : picks) {
+      state->gains_batch(all, batched);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        EXPECT_EQ(batched[v], state->gain(v))
+            << kernel.name() << " batched gain of local " << v;
+        if (membership[static_cast<std::size_t>(oracle_of[v])] != 0) continue;
+        const double expected = oracle.marginal_gain(membership, oracle_of[v]);
+        EXPECT_NEAR(state->gain(v), expected, 1e-9 * (1.0 + std::abs(expected)))
+            << kernel.name() << " gain of local " << v;
+      }
+      membership[static_cast<std::size_t>(oracle_of[pick])] = 1;
+      state->select(pick);
+    }
+  }
+}
+
+TEST(IncrementalStateOracle, FullGroundSetGainsMatchExactOracle) {
+  const Instance instance = random_instance(60, 5, 41020);
+  const std::vector<NodeId> members = all_ids(60);
+  expect_state_matches_oracle(instance, members, nullptr, 41020);
+}
+
+TEST(IncrementalStateOracle, PartitionGainsMatchExactOracle) {
+  for (std::uint64_t seed : {41001ULL, 41002ULL, 41003ULL}) {
+    const Instance instance = random_instance(90, 5, seed);
+    const std::vector<NodeId> members = every_third(90);
+    expect_state_matches_oracle(instance, members, nullptr, seed ^ 0xfeed);
+  }
+}
+
+TEST(IncrementalStateOracle, ConditionedGainsMatchExactOracle) {
+  const Instance instance = random_instance(80, 6, 41010);
   SelectionState conditioning(80);
   conditioning.select(2);
   conditioning.select(35);
   conditioning.select(71);
   conditioning.discard(7);
   const std::vector<NodeId> members = conditioning.unassigned_ids();
-  for (const ObjectiveKernel* kernel : kernels.all()) {
-    expect_state_mirrors_scorer(*kernel, members, &conditioning, 99);
-  }
+  expect_state_matches_oracle(instance, members, &conditioning, 99);
 }
 
-TEST(IncrementalStateParity, GainsTrackBruteForceOracle) {
-  // Over the full ground set (no dropped edges) the subproblem-scoped state
-  // must agree with the kernel's exact marginal-gain oracle.
-  const Instance instance = random_instance(60, 5, 41020);
+/// Exhaustive greedy over a fresh state: every step scans all unselected
+/// local ids and takes the largest gain, ties toward the smaller id.
+GreedyResult exhaustive_greedy(const Subproblem& sub, std::size_t k,
+                               KernelIncrementalState& state) {
+  const std::size_t n = sub.size();
+  k = std::min(k, n);
+  GreedyResult result;
+  std::vector<bool> taken(n, false);
+  for (std::size_t step = 0; step < k; ++step) {
+    double best_gain = -std::numeric_limits<double>::infinity();
+    std::uint32_t best = 0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (taken[v]) continue;
+      const double gain = state.gain(v);
+      if (gain > best_gain) {  // strict: first maximizer wins = smallest id
+        best_gain = gain;
+        best = v;
+      }
+    }
+    taken[best] = true;
+    result.selected.push_back(sub.global_ids[best]);
+    result.objective += best_gain;
+    state.select(best);
+  }
+  return result;
+}
+
+/// The batched lazy driver must pick exactly what an exhaustive greedy over
+/// the same state picks, with a bit-identical objective.
+void expect_driver_matches_exhaustive(const Instance& instance,
+                                      std::span<const NodeId> members) {
   const auto ground_set = instance.ground_set();
   const KernelSet kernels(ground_set);
-  const std::size_t n = 60;
-  std::vector<NodeId> members(n);
-  for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
-
   for (const ObjectiveKernel* kernel : kernels.all()) {
-    SubproblemArena arena;
-    Subproblem& sub =
-        materialize_subproblem_topology(ground_set, members, arena);
-    const std::unique_ptr<KernelIncrementalState> state =
-        kernel->make_incremental_state(arena);
-    state->reset(sub, nullptr);
+    // k spanning less than, around, and beyond one refresh batch.
+    for (const std::size_t k :
+         {std::size_t{5}, kGainRefreshBatch + 3, members.size()}) {
+      SubproblemArena driver_arena;
+      Subproblem& driver_sub =
+          materialize_subproblem_topology(ground_set, members, driver_arena);
+      const std::unique_ptr<KernelIncrementalState> driver_state =
+          kernel->make_incremental_state(driver_arena);
+      driver_state->reset(driver_sub, nullptr);
+      const GreedyResult batched = incremental_greedy_on_subproblem(
+          driver_sub, k, *driver_state, driver_arena);
 
-    std::vector<std::uint8_t> membership(n, 0);
-    const std::vector<std::uint32_t> picks = {3, 17, 42, 8, 55};
-    for (const std::uint32_t pick : picks) {
-      for (std::uint32_t v = 0; v < n; ++v) {
-        if (membership[v] != 0) continue;
-        const double oracle = kernel->marginal_gain(membership, static_cast<NodeId>(v));
-        EXPECT_NEAR(state->gain(v), oracle, 1e-9 * (1.0 + std::abs(oracle)))
-            << kernel->name() << " vs oracle at local " << v;
-      }
-      membership[pick] = 1;
-      state->select(pick);
+      SubproblemArena scan_arena;
+      Subproblem& scan_sub =
+          materialize_subproblem_topology(ground_set, members, scan_arena);
+      const std::unique_ptr<KernelIncrementalState> scan_state =
+          kernel->make_incremental_state(scan_arena);
+      scan_state->reset(scan_sub, nullptr, /*init_priorities=*/false);
+      const GreedyResult scan = exhaustive_greedy(scan_sub, k, *scan_state);
+
+      EXPECT_EQ(batched.selected, scan.selected) << kernel->name() << " k=" << k;
+      EXPECT_EQ(batched.objective, scan.objective) << kernel->name() << " k=" << k;
     }
   }
 }
 
-void expect_drivers_agree(const ObjectiveKernel& kernel,
-                          std::span<const NodeId> members, std::size_t k) {
-  SubproblemArena scorer_arena;
-  Subproblem& scorer_sub = materialize_subproblem_topology(
-      kernel.ground_set(), members, scorer_arena);
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(scorer_sub, nullptr);
-  const GreedyResult lazy =
-      lazy_greedy_on_subproblem(scorer_sub, k, *scorer, scorer_arena);
-
-  SubproblemArena state_arena;
-  Subproblem& state_sub = materialize_subproblem_topology(
-      kernel.ground_set(), members, state_arena);
-  const std::unique_ptr<KernelIncrementalState> state =
-      kernel.make_incremental_state(state_arena);
-  state->reset(state_sub, nullptr);
-  const GreedyResult batched =
-      incremental_greedy_on_subproblem(state_sub, k, *state, state_arena);
-
-  EXPECT_EQ(batched.selected, lazy.selected) << kernel.name();
-  EXPECT_EQ(batched.objective, lazy.objective) << kernel.name();
-}
-
-TEST(BatchedLazyDriver, MatchesScorerDriverOnRandomInstances) {
+TEST(BatchedLazyDriver, MatchesExhaustiveGreedyOnRandomInstances) {
   for (std::uint64_t seed : {41101ULL, 41102ULL}) {
     const Instance instance = random_instance(150, 6, seed);
-    const auto ground_set = instance.ground_set();
-    const KernelSet kernels(ground_set);
     const std::vector<NodeId> members = every_third(150);
-    for (const ObjectiveKernel* kernel : kernels.all()) {
-      // k spanning less than, around, and beyond one refresh batch.
-      for (const std::size_t k : {std::size_t{5}, kGainRefreshBatch + 3,
-                                  members.size()}) {
-        expect_drivers_agree(*kernel, members, k);
-      }
-    }
+    expect_driver_matches_exhaustive(instance, members);
   }
 }
 
-TEST(BatchedLazyDriver, MatchesScorerDriverUnderAdversarialTies) {
+TEST(BatchedLazyDriver, MatchesExhaustiveGreedyUnderAdversarialTies) {
   // Every weight and utility identical: every candidate ties with every
   // other, so any divergence in tie-breaking (or any last-ulp gain drift)
   // would reorder selections.
@@ -211,27 +266,18 @@ TEST(BatchedLazyDriver, MatchesScorerDriverUnderAdversarialTies) {
   Instance instance = random_instance(n, 5, 41200, /*max_weight=*/1.0,
                                       /*max_utility=*/2.0);
   std::vector<graph::NeighborList> lists(n);
-  {
-    std::vector<graph::Edge> scratch;
-    for (std::size_t v = 0; v < n; ++v) {
-      for (const graph::Edge& e : instance.graph.neighbors(static_cast<NodeId>(v))) {
-        lists[v].edges.push_back(graph::Edge{e.neighbor, 0.5f});
-      }
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const graph::Edge& e : instance.graph.neighbors(static_cast<NodeId>(v))) {
+      lists[v].edges.push_back(graph::Edge{e.neighbor, 0.5f});
     }
   }
   instance.graph = graph::SimilarityGraph::from_lists(lists).symmetrized();
   std::fill(instance.utilities.begin(), instance.utilities.end(), 1.0);
-  const auto ground_set = instance.ground_set();
-  const KernelSet kernels(ground_set);
-
-  std::vector<NodeId> members(n);
-  for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
-  for (const ObjectiveKernel* kernel : kernels.all()) {
-    expect_drivers_agree(*kernel, members, n / 3);
-  }
+  const std::vector<NodeId> members = all_ids(n);
+  expect_driver_matches_exhaustive(instance, members);
 }
 
-TEST(BatchedLazyDriver, MatchesScorerDriverWithDuplicateWeights) {
+TEST(BatchedLazyDriver, MatchesExhaustiveGreedyWithDuplicateWeights) {
   // Two distinct weight values only: heavy duplication without full
   // degeneracy.
   const std::size_t n = 100;
@@ -246,14 +292,8 @@ TEST(BatchedLazyDriver, MatchesScorerDriverWithDuplicateWeights) {
   }
   instance.graph = graph::SimilarityGraph::from_lists(lists).symmetrized();
   for (double& u : instance.utilities) u = rng.uniform() < 0.5 ? 1.0 : 1.5;
-  const auto ground_set = instance.ground_set();
-  const KernelSet kernels(ground_set);
-
-  std::vector<NodeId> members(n);
-  for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
-  for (const ObjectiveKernel* kernel : kernels.all()) {
-    expect_drivers_agree(*kernel, members, n / 2);
-  }
+  const std::vector<NodeId> members = all_ids(n);
+  expect_driver_matches_exhaustive(instance, members);
 }
 
 TEST(BatchedLazyDriver, HandlesEmptyAndDegeneratePartitions) {
@@ -282,7 +322,7 @@ TEST(BatchedLazyDriver, HandlesEmptyAndDegeneratePartitions) {
         PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_EQ(all.selected.size(), members.size()) << kernel->name();
 
-    // Duplicate members are rejected on both gain paths.
+    // Duplicate members are rejected on both partition paths.
     std::vector<NodeId> duplicates = {1, 5, 5};
     EXPECT_THROW(solve_partition(ground_set, duplicates, 2, *kernel, nullptr,
                                  arena, PartitionSolver::kPriorityQueue, 0.1, 1),
@@ -291,7 +331,7 @@ TEST(BatchedLazyDriver, HandlesEmptyAndDegeneratePartitions) {
   }
 }
 
-TEST(SolvePartitionGainEngine, AutoMatchesScorerReference) {
+TEST(SolvePartition, RunsKernelStateThroughLazyAndSampledDrivers) {
   const Instance instance = random_instance(200, 6, 41300);
   const auto ground_set = instance.ground_set();
   const KernelSet kernels(ground_set);
@@ -299,54 +339,40 @@ TEST(SolvePartitionGainEngine, AutoMatchesScorerReference) {
   const std::size_t k = members.size() / 2;
 
   for (const ObjectiveKernel* kernel : kernels.all()) {
-    SubproblemArena auto_arena;
-    std::size_t auto_state_bytes = 0;
-    const GreedyResult with_state = solve_partition(
-        ground_set, members, k, *kernel, nullptr, auto_arena,
-        PartitionSolver::kPriorityQueue, 0.1, 3, nullptr, &auto_state_bytes,
-        GainEngine::kAuto);
-
-    SubproblemArena scorer_arena;
-    std::size_t scorer_state_bytes = 0;
-    const GreedyResult with_scorer = solve_partition(
-        ground_set, members, k, *kernel, nullptr, scorer_arena,
-        PartitionSolver::kPriorityQueue, 0.1, 3, nullptr, &scorer_state_bytes,
-        GainEngine::kScorerReference);
-
-    EXPECT_EQ(with_state.selected, with_scorer.selected) << kernel->name();
-    EXPECT_EQ(with_state.objective, with_scorer.objective) << kernel->name();
-    EXPECT_EQ(scorer_state_bytes, 0u) << kernel->name();
-    if (kernel->pairwise_params() == nullptr) {
-      // The coverage-family kernels actually allocated flat state.
-      EXPECT_GT(auto_state_bytes, 0u) << kernel->name();
-      EXPECT_EQ(with_state.kernel_state_bytes, auto_state_bytes);
-      EXPECT_GT(with_state.materialized_bytes, 0u);
+    SubproblemArena arena;
+    std::size_t sub_bytes = 0;
+    std::size_t state_bytes = 0;
+    const GreedyResult lazy = solve_partition(
+        ground_set, members, k, *kernel, nullptr, arena,
+        PartitionSolver::kPriorityQueue, 0.1, 3, &sub_bytes, &state_bytes);
+    const GreedyResult sampled = solve_partition(
+        ground_set, members, k, *kernel, nullptr, arena,
+        PartitionSolver::kStochastic, 0.2, 777);
+    EXPECT_GT(sub_bytes, 0u) << kernel->name();
+    EXPECT_EQ(lazy.materialized_bytes, sub_bytes) << kernel->name();
+    EXPECT_EQ(lazy.kernel_state_bytes, state_bytes) << kernel->name();
+    if (kernel->pairwise_params() != nullptr) {
+      // Closed-form path: no flat state behind the solve.
+      EXPECT_EQ(state_bytes, 0u);
+      continue;
     }
-  }
-}
+    EXPECT_GT(state_bytes, 0u) << kernel->name();
 
-TEST(SolvePartitionGainEngine, StochasticAutoMatchesScorerReference) {
-  const Instance instance = random_instance(180, 5, 41310);
-  const auto ground_set = instance.ground_set();
-  const KernelSet kernels(ground_set);
-  std::vector<NodeId> members(180);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    members[i] = static_cast<NodeId>(i);
-  }
-
-  for (const ObjectiveKernel* kernel : kernels.all()) {
-    SubproblemArena auto_arena;
-    const GreedyResult with_state = solve_partition(
-        ground_set, members, 30, *kernel, nullptr, auto_arena,
-        PartitionSolver::kStochastic, 0.2, 777, nullptr, nullptr,
-        GainEngine::kAuto);
-    SubproblemArena scorer_arena;
-    const GreedyResult with_scorer = solve_partition(
-        ground_set, members, 30, *kernel, nullptr, scorer_arena,
-        PartitionSolver::kStochastic, 0.2, 777, nullptr, nullptr,
-        GainEngine::kScorerReference);
-    EXPECT_EQ(with_state.selected, with_scorer.selected) << kernel->name();
-    EXPECT_EQ(with_state.objective, with_scorer.objective) << kernel->name();
+    SubproblemArena direct_arena;
+    Subproblem& sub =
+        materialize_subproblem_topology(ground_set, members, direct_arena);
+    const std::unique_ptr<KernelIncrementalState> state =
+        kernel->make_incremental_state(direct_arena);
+    state->reset(sub, nullptr);
+    const GreedyResult direct_lazy =
+        incremental_greedy_on_subproblem(sub, k, *state, direct_arena);
+    state->reset(sub, nullptr, /*init_priorities=*/false);
+    const GreedyResult direct_sampled = stochastic_greedy_on_subproblem(
+        sub, k, *state, 0.2, 777, direct_arena);
+    EXPECT_EQ(lazy.selected, direct_lazy.selected) << kernel->name();
+    EXPECT_EQ(lazy.objective, direct_lazy.objective) << kernel->name();
+    EXPECT_EQ(sampled.selected, direct_sampled.selected) << kernel->name();
+    EXPECT_EQ(sampled.objective, direct_sampled.objective) << kernel->name();
   }
 }
 

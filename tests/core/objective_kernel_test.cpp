@@ -1,8 +1,8 @@
 // The ObjectiveKernel seam: pairwise-kernel bit-equivalence against the
 // pre-kernel path (core::reference:: and the ObjectiveParams round loops),
-// the lazy scorer driver against closed-form Algorithm 2, and the new
-// kernels (facility location, saturated coverage) against brute-force
-// marginal-gain greedy.
+// the incremental-state stochastic driver against the closed-form pairwise
+// one, and the new kernels (facility location, saturated coverage) against
+// brute-force marginal-gain greedy.
 #include "core/objective_kernel.h"
 
 #include <gtest/gtest.h>
@@ -136,72 +136,6 @@ TEST(PairwiseKernelEquivalence, StochasticPartitionSolverIsBitIdentical) {
   EXPECT_EQ(actual.objective, expected.objective);
 }
 
-TEST(LazyScorerDriver, MatchesClosedFormAlgorithmTwoOnPairwise) {
-  // The generic lazy driver fed by the pairwise scorer must select exactly
-  // what the closed-form decrease-key path selects (gains differ only by the
-  // α·(u − (β/α)Σ) vs α·u − β·Σ association, which cannot reorder them on
-  // these random instances).
-  const auto params = ObjectiveParams::from_alpha(0.7);
-  for (std::uint64_t seed : {9301ULL, 9302ULL}) {
-    const Instance instance = random_instance(150, 6, seed);
-    const auto ground_set = instance.ground_set();
-    const PairwiseKernel kernel(ground_set, params);
-
-    std::vector<NodeId> members(150);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      members[i] = static_cast<NodeId>(i);
-    }
-    const std::size_t k = 30;
-
-    SubproblemArena closed_arena;
-    const Subproblem& closed_sub = materialize_subproblem(
-        ground_set, members, params, nullptr, closed_arena);
-    const GreedyResult closed =
-        greedy_on_subproblem(closed_sub, k, params, closed_arena);
-
-    SubproblemArena lazy_arena;
-    Subproblem& lazy_sub =
-        materialize_subproblem_topology(ground_set, members, lazy_arena);
-    const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-    scorer->reset(lazy_sub, nullptr);
-    const GreedyResult lazy =
-        lazy_greedy_on_subproblem(lazy_sub, k, *scorer, lazy_arena);
-
-    EXPECT_EQ(lazy.selected, closed.selected);
-    EXPECT_NEAR(lazy.objective, closed.objective, 1e-9);
-  }
-}
-
-TEST(LazyScorerDriver, ConditionsOnPreselectedState) {
-  const Instance instance = random_instance(80, 6, 9400);
-  const auto ground_set = instance.ground_set();
-  const auto params = ObjectiveParams::from_alpha(0.6);
-  const PairwiseKernel kernel(ground_set, params);
-
-  SelectionState state(80);
-  state.select(3);
-  state.select(17);
-  state.discard(5);
-
-  std::vector<NodeId> members = state.unassigned_ids();
-  const std::size_t k = 10;
-
-  SubproblemArena closed_arena;
-  const Subproblem& closed_sub = materialize_subproblem(
-      ground_set, members, params, &state, closed_arena);
-  const GreedyResult closed =
-      greedy_on_subproblem(closed_sub, k, params, closed_arena);
-
-  SubproblemArena lazy_arena;
-  Subproblem& lazy_sub =
-      materialize_subproblem_topology(ground_set, members, lazy_arena);
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(lazy_sub, &state);
-  const GreedyResult lazy = lazy_greedy_on_subproblem(lazy_sub, k, *scorer,
-                                                      lazy_arena);
-  EXPECT_EQ(lazy.selected, closed.selected);
-}
-
 template <typename Kernel>
 void expect_matches_naive(const Kernel& kernel, std::size_t k) {
   const GreedyResult expected = naive_greedy(kernel, k);
@@ -254,11 +188,11 @@ TEST(SaturatedCoverageKernel, RejectsInvalidParams) {
   EXPECT_THROW(SaturatedCoverageKernel(ground_set, params), std::invalid_argument);
 }
 
-TEST(StochasticScorerDriver, MatchesPairwiseStochasticSelections) {
-  // The scorer-based stochastic driver draws the exact same Rng stream as
-  // the pairwise-priorities overload, so with a pairwise scorer (whose gains
-  // are a positive rescaling of the maintained priorities) the selected
-  // sequences must coincide.
+TEST(StochasticStateDriver, MatchesPairwiseStochasticSelections) {
+  // The incremental-state stochastic driver draws the exact same Rng stream
+  // as the pairwise-priorities overload, so with the pairwise state (whose
+  // gains are a positive rescaling of the maintained priorities) the
+  // selected sequences must coincide.
   const Instance instance = random_instance(160, 6, 9700);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.85);
@@ -274,19 +208,20 @@ TEST(StochasticScorerDriver, MatchesPairwiseStochasticSelections) {
   const GreedyResult expected =
       stochastic_greedy_on_subproblem(sub, 25, params, 0.2, 555);
 
-  SubproblemArena scorer_arena;
-  Subproblem& scorer_sub =
-      materialize_subproblem_topology(ground_set, members, scorer_arena);
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(scorer_sub, nullptr);
-  const GreedyResult actual =
-      stochastic_greedy_on_subproblem(scorer_sub, 25, *scorer, 0.2, 555);
+  SubproblemArena state_arena;
+  Subproblem& state_sub =
+      materialize_subproblem_topology(ground_set, members, state_arena);
+  const std::unique_ptr<KernelIncrementalState> state =
+      kernel.make_incremental_state(state_arena);
+  state->reset(state_sub, nullptr, /*init_priorities=*/false);
+  const GreedyResult actual = stochastic_greedy_on_subproblem(
+      state_sub, 25, *state, 0.2, 555, state_arena);
 
   EXPECT_EQ(actual.selected, expected.selected);
   EXPECT_NEAR(actual.objective, expected.objective, 1e-9);
 }
 
-TEST(StochasticScorerDriver, NewKernelsRunThroughStochasticPartitions) {
+TEST(StochasticStateDriver, NewKernelsRunThroughStochasticPartitions) {
   const Instance instance = random_instance(250, 5, 9710);
   const auto ground_set = instance.ground_set();
   const FacilityLocationKernel fl(ground_set, {});

@@ -283,7 +283,6 @@ int cmd_objectives() {
     std::string flags;
     if (info.caps.linear_priority_updates) flags += " closed-form-updates";
     else flags += " lazy-gain-path";
-    if (info.caps.incremental_state) flags += " incremental-state";
     if (info.caps.utility_bounds) flags += " utility-bounds";
     if (info.caps.distributed_scoring) flags += " distributed-scoring";
     if (info.caps.monotone) flags += " monotone";
