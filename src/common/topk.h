@@ -17,17 +17,23 @@
 
 namespace subsel {
 
-/// Returns the k-th largest value of `values` (1-based: k=1 is the maximum).
-/// If k exceeds values.size(), returns -infinity (every value qualifies),
-/// matching the bounding convention that an undersized ground set imposes no
-/// threshold. Copies the input; the selection must not disturb caller state.
-inline double kth_largest(std::span<const double> values, std::size_t k) {
+/// Returns the k-th largest value of `values` (1-based: k=1 is the maximum),
+/// reordering `values` in place. If k exceeds values.size(), returns
+/// -infinity (every value qualifies), matching the bounding convention that
+/// an undersized ground set imposes no threshold.
+inline double kth_largest_in_place(std::span<double> values, std::size_t k) {
   if (k == 0) return std::numeric_limits<double>::infinity();
   if (values.size() < k) return -std::numeric_limits<double>::infinity();
-  std::vector<double> scratch(values.begin(), values.end());
-  auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(k - 1);
-  std::nth_element(scratch.begin(), nth, scratch.end(), std::greater<>());
+  auto nth = values.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(values.begin(), nth, values.end(), std::greater<>());
   return *nth;
+}
+
+/// kth_largest_in_place on a copy, for callers whose values must keep their
+/// order.
+inline double kth_largest(std::span<const double> values, std::size_t k) {
+  std::vector<double> scratch(values.begin(), values.end());
+  return kth_largest_in_place(scratch, k);
 }
 
 /// Returns the indices of the `k` largest values (ties broken by lower index),

@@ -16,9 +16,34 @@
 // unassigned neighbors (uniformly, or weighted by similarity); neighbors
 // already in S′ are always subtracted. Theorem 4.6 bounds the quality loss.
 //
-// Everything here runs one parallel pass per round over the unassigned
-// points; no step needs the subset resident on a single "machine" beyond the
-// one-byte-per-point state vector (see beam/ for the dataflow formulation).
+// Everything here runs one parallel pass per round; no step needs the subset
+// resident on a single "machine" beyond the one-byte-per-point state vector
+// and one double per point (see beam/ for the dataflow formulation).
+//
+// A pass does only the work that can change a decision:
+//
+//  - Umax cache. bound() fills Umax for every point once, then keeps it for
+//    the whole run. Umax(v) depends only on v's selected neighbors, so after
+//    a Grow only the unassigned neighbors of the newly selected points are
+//    recomputed (this relies on the GroundSet contract that neighborhoods
+//    are symmetric). Shrink changes no Umax: discarded neighbors count in
+//    neither bound. Every recompute sums the full edge list in edge order,
+//    so each cached value is bit-identical to a full recompute.
+//  - Pruned Grow. U^k_max is selected from one copy of the cached Umax. Only
+//    points with Umax > U^k_max are evaluated, and each Uexp sum stops as
+//    soon as it falls to <= U^k_max. Both are exact because every
+//    subtracted term (β/α)·w is >= 0: then Uexp <= Umax and the partial sums
+//    never rise under round-to-nearest. A NaN anywhere in a sum makes it
+//    NaN, which fails every comparison, so such a point is never a Grow
+//    candidate on either path. Candidates are collected in ascending id
+//    order, as a full scan would find them.
+//  - Shrink needs every Uexp to find U^k_min, so it stays a full pass.
+//
+// Precondition: β >= 0 (ObjectiveParams::validate) and every edge weight
+// w >= 0. SimilarityGraph and OverlayGroundSet enforce w >= 0 on build;
+// bound() and grow_step() also check it in their first Umax pass, which reads
+// every edge anyway, and throw std::invalid_argument from the calling thread
+// when it does not hold. NaN weights pass the check (see above).
 #pragma once
 
 #include <cstdint>
@@ -80,17 +105,20 @@ struct BoundingResult {
   bool complete() const noexcept { return k_remaining == 0; }
 };
 
-/// Runs Algorithm 5 on `ground_set` for a target subset size k.
+/// Runs Algorithm 5 on `ground_set` for a target subset size k. Throws
+/// std::invalid_argument on malformed objective params or a negative edge
+/// weight (see the precondition above); a zero budget reads nothing.
 BoundingResult bound(const GroundSet& ground_set, std::size_t k,
                      const BoundingConfig& config);
 
 /// One Grow pass (Alg. 3) on an existing state; returns #points selected.
-/// Exposed for tests and for the beam/ driver.
+/// Runs bound()'s pass code on a freshly filled Umax cache, so it throws
+/// like bound(). Exposed for tests and for step-by-step walk-throughs.
 std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
                       std::size_t& k_remaining, const BoundingConfig& config,
                       std::uint64_t round_salt);
 
-/// One Shrink pass (Alg. 4); returns #points discarded.
+/// One Shrink pass (Alg. 4), bound()'s pass code; returns #points discarded.
 std::size_t shrink_step(const GroundSet& ground_set, SelectionState& state,
                         std::size_t k_remaining, const BoundingConfig& config,
                         std::uint64_t round_salt);
@@ -103,8 +131,10 @@ namespace detail {
 bool sample_neighbor(const BoundingConfig& config, std::uint64_t round_salt, NodeId v,
                      NodeId neighbor, float weight, double mean_weight);
 
-/// Computes Umin (or Uexp under sampling) and Umax for all unassigned points;
-/// assigned points get NaN. Buffers are resized to num_points().
+/// Computes Umin (or Uexp under sampling) and Umax for all unassigned points,
+/// each summed in full in edge order; assigned points get NaN. Buffers are
+/// resized to num_points(). Shrink's pass, and the unpruned reference the
+/// tests hold the pruned Grow to.
 void compute_utility_bounds(const GroundSet& ground_set, const SelectionState& state,
                             const BoundingConfig& config, std::uint64_t round_salt,
                             std::vector<double>& u_min, std::vector<double>& u_max);

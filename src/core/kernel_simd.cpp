@@ -74,6 +74,17 @@ constexpr KernelSimdOps kScalarOps{cover_gain_scalar, resid_gain_scalar,
 
 #if defined(SUBSEL_KSIMD_HAVE_AVX2)
 
+// Gathers base[idx[0..3]]. The plain _mm256_i32gather_pd passes an undefined
+// source vector that gcc reports as maybe-uninitialized; with an all-ones
+// mask every lane comes from memory, so the zero source is never read and the
+// result is the same.
+__attribute__((target("avx2"))) __m256d gather4_avx2(const double* base,
+                                                    __m128i idx) {
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx, all_lanes,
+                                  sizeof(double));
+}
+
 __attribute__((target("avx2"))) double cover_gain_avx2(
     const std::uint32_t* nbr, const double* pw, std::size_t count,
     const double* wcover, double self_term) {
@@ -83,7 +94,7 @@ __attribute__((target("avx2"))) double cover_gain_avx2(
   for (; e + kLanes <= count; e += kLanes) {
     const __m128i idx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(nbr + e));
-    const __m256d cov = _mm256_i32gather_pd(wcover, idx, sizeof(double));
+    const __m256d cov = gather4_avx2(wcover, idx);
     const __m256d w = _mm256_loadu_pd(pw + e);
     acc = _mm256_add_pd(acc, _mm256_max_pd(zero, _mm256_sub_pd(w, cov)));
   }
@@ -104,7 +115,7 @@ __attribute__((target("avx2"))) double resid_gain_avx2(
   for (; e + kLanes <= count; e += kLanes) {
     const __m128i idx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(nbr + e));
-    const __m256d r = _mm256_i32gather_pd(resid, idx, sizeof(double));
+    const __m256d r = gather4_avx2(resid, idx);
     const __m256d w = _mm256_loadu_pd(pw + e);
     acc = _mm256_add_pd(acc, _mm256_min_pd(w, _mm256_max_pd(r, zero)));
   }
@@ -124,7 +135,7 @@ __attribute__((target("avx2"))) void gather_avx2(const double* values,
   for (; i + kLanes <= count; i += kLanes) {
     const __m128i ids =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    _mm256_storeu_pd(out + i, _mm256_i32gather_pd(values, ids, sizeof(double)));
+    _mm256_storeu_pd(out + i, gather4_avx2(values, ids));
   }
   for (; i < count; ++i) out[i] = values[idx[i]];
 }

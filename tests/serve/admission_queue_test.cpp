@@ -26,7 +26,7 @@ std::unique_ptr<PendingRequest> make_item(const std::string& id,
 TEST(AdmissionQueue, FifoWithinOneClass) {
   AdmissionQueue queue(8);
   for (int i = 0; i < 3; ++i) {
-    auto item = make_item("b" + std::to_string(i), Priority::kBatch);
+    auto item = make_item(std::string("b") + std::to_string(i), Priority::kBatch);
     EXPECT_EQ(queue.try_push(item), "");
   }
   EXPECT_EQ(queue.pop()->request.id, "b0");

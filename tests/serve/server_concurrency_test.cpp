@@ -75,7 +75,7 @@ TEST_F(ServeConcurrencyTest, EightClientsOneResidentDiskGroundSet) {
     clients.emplace_back([&, t] {
       for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
         ServeRequest request;
-        request.id = "c" + std::to_string(t) + "-" + std::to_string(r);
+        request.id = std::string("c") + std::to_string(t) + "-" + std::to_string(r);
         request.dataset = "toy";
         request.priority =
             (t + r) % 2 == 0 ? Priority::kInteractive : Priority::kBatch;
